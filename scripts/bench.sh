@@ -25,11 +25,6 @@
 # --baseline — any case's encode MB/s drops below 80% of the committed
 # figure (the no-regression gate; see docs/ENGINE.md "hot path").
 #
-# Also emits BENCH_shard.json (schema in docs/WIRE.md): the blocking
-# single-referee session baseline vs the epoll referee's absorb rate at
-# 1/2/4 shards, with the same payload_matches_sim certification. Exits
-# nonzero only on a correctness divergence, never on a slow run.
-#
 # Also emits BENCH_stream.json (schema in docs/STREAMING.md): turnstile
 # stream ingestion serial vs pooled at 1/4/max threads, with a
 # matches_serial flag certifying bit-identical sharded ingestion. Runs
@@ -47,10 +42,9 @@
 # Usage:
 #   scripts/bench.sh                 # writes ./BENCH_parallel.json +
 #                                    #   ./BENCH_wire.json + ./BENCH_engine.json
-#                                    #   + ./BENCH_shard.json + ./BENCH_stream.json
-#                                    #   + ./BENCH_scenario.json
+#                                    #   + ./BENCH_stream.json + ./BENCH_scenario.json
 #   scripts/bench.sh out.json        # custom BENCH_parallel.json path
-#   scripts/bench.sh out.json wire.json engine.json shard.json stream.json scenario.json
+#   scripts/bench.sh out.json wire.json engine.json stream.json scenario.json
 #   DISTSKETCH_THREADS=4 scripts/bench.sh   # pin the pool width
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -58,9 +52,8 @@ cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_parallel.json}"
 WIRE_OUT="${2:-BENCH_wire.json}"
 ENGINE_OUT="${3:-BENCH_engine.json}"
-SHARD_OUT="${4:-BENCH_shard.json}"
-STREAM_OUT="${5:-BENCH_stream.json}"
-SCENARIO_OUT="${6:-BENCH_scenario.json}"
+STREAM_OUT="${4:-BENCH_stream.json}"
+SCENARIO_OUT="${5:-BENCH_scenario.json}"
 STREAM_MODE="${BENCH_STREAM_MODE:---quick}"
 BUILD_DIR=build-release
 
@@ -75,7 +68,7 @@ elif command -v ninja > /dev/null 2>&1; then
 else
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 fi
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_parallel bench_wire bench_engine bench_shard bench_stream bench_scenario
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_parallel bench_wire bench_engine bench_stream bench_scenario
 
 "$BUILD_DIR"/bench/bench_parallel "$OUT"
 "$BUILD_DIR"/bench/bench_wire "$WIRE_OUT"
@@ -88,6 +81,5 @@ if [ "$ENGINE_OUT" = "BENCH_engine.json" ] && [ -f BENCH_engine.json ]; then
 else
   "$BUILD_DIR"/bench/bench_engine "$ENGINE_OUT"
 fi
-"$BUILD_DIR"/bench/bench_shard "$SHARD_OUT"
 "$BUILD_DIR"/bench/bench_stream "$STREAM_OUT" $STREAM_MODE
 "$BUILD_DIR"/bench/bench_scenario "$SCENARIO_OUT"

@@ -9,6 +9,7 @@
 // the full wire session including this result hop.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -73,7 +74,12 @@ struct OutputCodec<std::vector<graph::Edge>> {
     for (const graph::Edge& e : edges) OutputCodec<graph::Edge>::encode(e, out);
   }
   static std::vector<graph::Edge> decode(util::BitReader& in) {
-    const std::uint64_t count = in.get_gamma() - 1;
+    const std::uint64_t claimed = in.get_gamma() - 1;
+    // Robustness clamp, as in BitReader::get_u32_span: a well-formed
+    // list cannot hold more edges than it has bits left for, so a forged
+    // count must not drive the allocation.
+    const std::uint64_t count =
+        std::min<std::uint64_t>(claimed, in.bits_remaining() / 64);
     std::vector<graph::Edge> edges;
     edges.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {

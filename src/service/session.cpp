@@ -60,6 +60,28 @@ ServiceMetrics& metrics() {
   return m;
 }
 
+/// Why a kSketch frame is unusable for (protocol_id, round, n), or
+/// kAccept.  Duplicate detection stays with the caller — it depends on
+/// the round's accumulation state.
+enum class FrameVerdict : std::uint8_t {
+  kAccept,
+  kBadType,
+  kBadProtocol,
+  kBadRound,
+  kBadVertex,
+};
+
+FrameVerdict classify_sketch_frame(const wire::FrameHeader& h,
+                                   std::uint32_t protocol_id,
+                                   std::uint32_t round,
+                                   graph::Vertex n) noexcept {
+  if (h.type != wire::FrameType::kSketch) return FrameVerdict::kBadType;
+  if (h.protocol_id != protocol_id) return FrameVerdict::kBadProtocol;
+  if (h.round != round) return FrameVerdict::kBadRound;
+  if (h.vertex >= n) return FrameVerdict::kBadVertex;
+  return FrameVerdict::kAccept;
+}
+
 }  // namespace
 
 std::pair<graph::Vertex, graph::Vertex> shard_range(
@@ -71,17 +93,6 @@ std::pair<graph::Vertex, graph::Vertex> shard_range(
   const std::size_t size = base + (index < extra ? 1 : 0);
   return {static_cast<graph::Vertex>(begin),
           static_cast<graph::Vertex>(begin + size)};
-}
-
-FrameVerdict classify_sketch_frame(const wire::FrameHeader& h,
-                                   std::uint32_t protocol_id,
-                                   std::uint32_t round,
-                                   graph::Vertex n) noexcept {
-  if (h.type != wire::FrameType::kSketch) return FrameVerdict::kBadType;
-  if (h.protocol_id != protocol_id) return FrameVerdict::kBadProtocol;
-  if (h.round != round) return FrameVerdict::kBadRound;
-  if (h.vertex >= n) return FrameVerdict::kBadVertex;
-  return FrameVerdict::kAccept;
 }
 
 std::chrono::milliseconds fair_poll_slice(std::chrono::milliseconds left,

@@ -64,28 +64,11 @@ struct CollectedRound {
   std::vector<std::string> rejects;  // one diagnostic per rejected frame
 };
 
-/// Contiguous vertex range [first, second) owned by shard `index` of
-/// `parts`: the one split formula shared by player clients
-/// (shard_vertices), referee shards, and the service tool, so every
-/// party computes identical layouts without coordination.
+/// Contiguous vertex block [first, second) owned by player `index` of
+/// `parts`: the one split formula behind shard_vertices, so every player
+/// process computes the same layout without coordination.
 [[nodiscard]] std::pair<graph::Vertex, graph::Vertex> shard_range(
     graph::Vertex n, std::size_t parts, std::size_t index) noexcept;
-
-/// Why a kSketch frame is unusable for (protocol_id, round, n), or
-/// kAccept.  Shared by the blocking collection loop (session.cpp) and the
-/// sharded referee (shard.cpp) so the two paths cannot drift on the
-/// rejection taxonomy.  Duplicate detection stays with the caller — it
-/// depends on the caller's accumulation state.
-enum class FrameVerdict : std::uint8_t {
-  kAccept,
-  kBadType,
-  kBadProtocol,
-  kBadRound,
-  kBadVertex,
-};
-[[nodiscard]] FrameVerdict classify_sketch_frame(
-    const wire::FrameHeader& header, std::uint32_t protocol_id,
-    std::uint32_t round, graph::Vertex n) noexcept;
 
 /// The per-link poll slice while `left` remains to the round deadline and
 /// `live_links` links are still being polled.  Dividing the remainder by
@@ -93,7 +76,7 @@ enum class FrameVerdict : std::uint8_t {
 /// before every other link is polled again: from any instant, a full
 /// pass over the links consumes at most the current remainder, so no
 /// link starves at the deadline behind a slow reader (regression:
-/// tests/service/shard_test.cpp SlowReaderCannotStarveOtherLinks).
+/// tests/service/session_test.cpp SlowReaderCannotStarveOtherLinks).
 [[nodiscard]] std::chrono::milliseconds fair_poll_slice(
     std::chrono::milliseconds left, std::size_t live_links) noexcept;
 

@@ -318,16 +318,6 @@ void set_recv(RecvFn fn) noexcept {
 void set_send(SendFn fn) noexcept {
   g_send_hook.store(fn, std::memory_order_relaxed);
 }
-PollFn poll_hook() noexcept {
-  return g_poll_hook.load(std::memory_order_relaxed);
-}
-RecvFn recv_hook() noexcept {
-  return g_recv_hook.load(std::memory_order_relaxed);
-}
-SendFn send_hook() noexcept {
-  return g_send_hook.load(std::memory_order_relaxed);
-}
-
 void reset() noexcept {
   set_poll(nullptr);
   set_recv(nullptr);
@@ -373,18 +363,12 @@ TcpListener::~TcpListener() {
 }
 
 std::unique_ptr<Link> TcpListener::accept(std::chrono::milliseconds timeout) {
-  const int client = accept_fd(timeout);
-  if (client < 0) return nullptr;
-  return std::make_unique<TcpLink>(client);
-}
-
-int TcpListener::accept_fd(std::chrono::milliseconds timeout) {
   const Clock::time_point deadline = Clock::now() + timeout;
-  if (poll_readable(fd_, deadline) != PollOutcome::kReady) return -1;
+  if (poll_readable(fd_, deadline) != PollOutcome::kReady) return nullptr;
   const int client = ::accept(fd_, nullptr, nullptr);
-  if (client < 0) return -1;
+  if (client < 0) return nullptr;
   metrics().accepts.increment();
-  return client;
+  return std::make_unique<TcpLink>(client);
 }
 
 std::unique_ptr<Link> tcp_adopt_fd(int fd) {

@@ -52,12 +52,6 @@ class TcpListener {
   [[nodiscard]] std::unique_ptr<Link> accept(
       std::chrono::milliseconds timeout);
 
-  /// Next inbound connection as a raw fd (ownership passes to the
-  /// caller), or -1 if none arrived in time.  The sharded referee adopts
-  /// accepted fds straight into a wire::EventLoop instead of wrapping
-  /// them in a blocking Link.
-  [[nodiscard]] int accept_fd(std::chrono::milliseconds timeout);
-
  private:
   int fd_ = -1;
   std::uint16_t port_ = 0;

@@ -28,13 +28,6 @@ void set_poll(PollFn fn) noexcept;
 void set_recv(RecvFn fn) noexcept;
 void set_send(SendFn fn) noexcept;
 
-/// The currently installed hook (nullptr when unset).  The epoll event
-/// loop (src/evloop/) routes its recv/send through the same hooks as the
-/// blocking transport, so one injection harness drives both paths.
-[[nodiscard]] PollFn poll_hook() noexcept;
-[[nodiscard]] RecvFn recv_hook() noexcept;
-[[nodiscard]] SendFn send_hook() noexcept;
-
 /// Restore all three to the real syscalls.
 void reset() noexcept;
 

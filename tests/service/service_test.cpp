@@ -265,5 +265,53 @@ TEST(RefereeService, MissingPlayerIsACleanDeadlineError) {
                service::ServiceError);
 }
 
+TEST(OutputCodec, ForgedEdgeCountCannotDriveAllocation) {
+  // A short edge list whose gamma count claims ~2^40 edges but carries
+  // only two.  Reserving the claimed count threw std::bad_alloc inside
+  // the player; the decoder must clamp the count to what the remaining
+  // bits can hold (64 per edge) and decode what is there.
+  const auto put_forged_edges = [](util::BitWriter& w) {
+    w.put_gamma((std::uint64_t{1} << 40) + 1);
+    for (const std::uint32_t x : {1u, 2u, 3u, 4u}) w.put_bits(x, 32);
+  };
+  const std::vector<graph::Edge> expect = {{1, 2}, {3, 4}};
+
+  util::BitWriter list_writer;
+  put_forged_edges(list_writer);
+  const util::BitString forged(std::move(list_writer));
+  {
+    util::BitReader in(forged);
+    EXPECT_EQ(service::OutputCodec<std::vector<graph::Edge>>::decode(in),
+              expect);
+  }
+  {
+    // OutputCodec<Graph> reads its edge list through the same decoder.
+    util::BitWriter graph_writer;
+    graph_writer.put_bits(8, 32);
+    put_forged_edges(graph_writer);
+    const util::BitString forged_graph(std::move(graph_writer));
+    util::BitReader in(forged_graph);
+    const graph::Graph decoded = service::OutputCodec<graph::Graph>::decode(in);
+    EXPECT_EQ(decoded.num_vertices(), 8u);
+    EXPECT_EQ(decoded.num_edges(), 2u);
+  }
+
+  // End to end: the forged result reaches a player as its kResult frame.
+  const graph::Graph g = test_graph(6, 5, 0.4);
+  const protocols::AgmSpanningForest protocol;
+  const model::PublicCoins coins(kCoinSeed);
+  LoopbackCluster cluster = make_cluster(1);
+  const wire::FrameHeader header{wire::FrameType::kResult,
+                                 wire::protocol_id(protocol.name()), 0, 0};
+  (void)service::broadcast_to_links(cluster.referee, header, forged);
+  const std::vector<graph::Vertex> owned =
+      service::shard_vertices(g.num_vertices(), 1, 0);
+  model::ForestOutput result;
+  EXPECT_NO_THROW(result = service::play_protocol(*cluster.players[0], g,
+                                                  owned, protocol, coins,
+                                                  1000ms));
+  EXPECT_EQ(result, expect);
+}
+
 }  // namespace
 }  // namespace ds

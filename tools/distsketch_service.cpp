@@ -24,13 +24,14 @@
 // and key the public coins the same way, so the referee's outcome and
 // every player's output hash match the simulated run bit for bit (the
 // scenario-smoke contract).  `--list-scenarios` prints the registry.
-#include <atomic>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -44,7 +45,6 @@
 #include "protocols/zoo.h"
 #include "service/player_client.h"
 #include "service/referee_service.h"
-#include "service/sharded_referee.h"
 #include "wire/tcp.h"
 
 namespace {
@@ -60,7 +60,6 @@ struct Options {
   std::uint64_t coin_seed = 7;
   std::size_t players = 1;
   std::size_t index = 0;
-  std::size_t shards = 0;  // 0 = blocking referee; N >= 1 = epoll shards
   std::string scenario;        // registered family id; empty = --protocol
   std::size_t budget = 0;      // 0 = the scenario grid's largest budget
   std::uint64_t trial_seed = 1;
@@ -137,8 +136,6 @@ void write_metrics_snapshot(const std::string& path) {
       << "  --list-scenarios   print the scenario registry and exit\n"
       << "  --players K        number of player processes\n"
       << "  --index I          player: this process's shard index\n"
-      << "  --shards S         serve: S epoll referee shards (default 0 ="
-         " blocking referee)\n"
       << "  --timeout-ms T     round deadline (default 10000)\n"
       << "  --metrics-out F    enable metrics; write the obs JSON snapshot"
          " to F on exit\n"
@@ -158,6 +155,27 @@ void print_scenarios(std::ostream& out) {
         << s->default_grid().budgets.back() << ")  " << s->description()
         << "\n";
   }
+}
+
+/// The one way a numeric flag is read: the whole of `value` must parse
+/// as a T in [lo, hi].  Non-numeric input, trailing garbage and
+/// out-of-range values (e.g. --port 70000, which a bare cast would wrap
+/// to 4464) are reported and sent through usage(), never truncated.
+template <typename T>
+T parse_number(const char* argv0, const std::string& key,
+               const std::string& value,
+               T lo = std::numeric_limits<T>::min(),
+               T hi = std::numeric_limits<T>::max()) {
+  T parsed{};
+  const char* const end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  // The negated comparison also rejects a parsed NaN.
+  if (ec != std::errc() || ptr != end || !(parsed >= lo && parsed <= hi)) {
+    std::cerr << "distsketch_service: " << key << " '" << value
+              << "' is not a number in [" << lo << ", " << hi << "]\n";
+    usage(argv0);
+  }
+  return parsed;
 }
 
 Options parse(int argc, char** argv) {
@@ -180,39 +198,44 @@ Options parse(int argc, char** argv) {
     if (key == "--host") {
       opt.host = value;
     } else if (key == "--port") {
-      opt.port = static_cast<std::uint16_t>(std::stoul(value));
+      opt.port = parse_number<std::uint16_t>(argv[0], key, value);
     } else if (key == "--protocol") {
       opt.protocol = value;
       opt.protocol_set = true;
     } else if (key == "--scenario") {
       opt.scenario = value;
     } else if (key == "--budget") {
-      opt.budget = std::stoul(value);
+      opt.budget = parse_number<std::size_t>(argv[0], key, value);
     } else if (key == "--trial-seed") {
-      opt.trial_seed = std::stoull(value);
+      opt.trial_seed = parse_number<std::uint64_t>(argv[0], key, value);
     } else if (key == "--n") {
-      opt.n = static_cast<ds::graph::Vertex>(std::stoul(value));
+      opt.n = parse_number<ds::graph::Vertex>(argv[0], key, value);
     } else if (key == "--p") {
-      opt.p = std::stod(value);
+      opt.p = parse_number<double>(argv[0], key, value, 0.0, 1.0);
     } else if (key == "--graph-seed") {
-      opt.graph_seed = std::stoull(value);
+      opt.graph_seed = parse_number<std::uint64_t>(argv[0], key, value);
     } else if (key == "--coin-seed") {
-      opt.coin_seed = std::stoull(value);
+      opt.coin_seed = parse_number<std::uint64_t>(argv[0], key, value);
     } else if (key == "--players") {
-      opt.players = std::stoul(value);
+      opt.players = parse_number<std::size_t>(argv[0], key, value, 1);
     } else if (key == "--index") {
-      opt.index = std::stoul(value);
-    } else if (key == "--shards") {
-      opt.shards = std::stoul(value);
+      opt.index = parse_number<std::size_t>(argv[0], key, value);
     } else if (key == "--timeout-ms") {
-      opt.timeout = std::chrono::milliseconds(std::stoul(value));
+      opt.timeout = std::chrono::milliseconds(
+          parse_number<std::uint32_t>(argv[0], key, value));
     } else if (key == "--metrics-out") {
       opt.metrics_out = value;
     } else if (key == "--metrics-interval-ms") {
-      opt.metrics_interval = std::chrono::milliseconds(std::stoul(value));
+      opt.metrics_interval = std::chrono::milliseconds(
+          parse_number<std::uint32_t>(argv[0], key, value));
     } else {
       usage(argv[0]);
     }
+  }
+  if (opt.command == "player" && opt.index >= opt.players) {
+    std::cerr << "distsketch_service: --index " << opt.index
+              << " is not below --players " << opt.players << "\n";
+    usage(argv[0]);
   }
   if (!opt.metrics_out.empty() || opt.metrics_interval.count() > 0) {
     ds::obs::set_metrics_enabled(true);
@@ -221,8 +244,7 @@ Options parse(int argc, char** argv) {
 }
 
 /// Scenario-mode argument checks: unknown ids are rejected with a
-/// did-you-mean (exit 2), and modes that can't serve a scenario trial
-/// (epoll shards, an explicit --protocol) are refused up front.
+/// did-you-mean (exit 2), and an explicit --protocol is refused up front.
 const ds::scenario::Scenario* resolve_scenario(const Options& opt) {
   const ds::scenario::Scenario* s = ds::scenario::find(opt.scenario);
   if (s == nullptr) {
@@ -238,11 +260,6 @@ const ds::scenario::Scenario* resolve_scenario(const Options& opt) {
   if (opt.protocol_set) {
     std::cerr << "distsketch_service: --scenario and --protocol are"
                  " mutually exclusive\n";
-    std::exit(2);
-  }
-  if (opt.shards > 0) {
-    std::cerr << "distsketch_service: --scenario needs the blocking"
-                 " referee (drop --shards)\n";
     std::exit(2);
   }
   return s;
@@ -263,12 +280,9 @@ void print_serve_wire(const Result& r) {
   print_wire("downlink", r.downlink);
 }
 
-/// Protocol dispatch shared by the blocking and sharded referees: both
-/// expose the same run / run_adaptive surface with identical result
-/// types, which is the point — `--shards` changes the ingestion path,
-/// never the protocol semantics.
-template <typename Service>
-int serve_protocols(Service& referee, const Options& opt) {
+/// Serve one session of the --protocol named protocol.
+int serve_protocols(ds::service::RefereeService& referee,
+                    const Options& opt) {
   if (opt.protocol == "spanning-forest") {
     const ds::protocols::AgmSpanningForest protocol;
     const auto r = referee.run(protocol, opt.n);
@@ -304,29 +318,7 @@ int run_serve(const Options& opt) {
   const MetricsReporter reporter(opt.metrics_interval);
   ds::wire::TcpListener listener(opt.port);
   std::cout << "referee: listening on 127.0.0.1:" << listener.port()
-            << ", awaiting " << opt.players << " player(s)"
-            << (opt.shards > 0
-                    ? " across " + std::to_string(opt.shards) + " shard(s)"
-                    : std::string())
-            << "\n";
-
-  if (opt.shards > 0) {
-    ds::service::ShardedRefereeService referee(opt.shards, opt.coin_seed,
-                                               opt.timeout);
-    {
-      const ds::obs::ScopedSpan accept_span(
-          "service.accept", &ds::obs::histogram("service.accept_us"));
-      for (std::size_t i = 0; i < opt.players; ++i) {
-        const int fd = listener.accept_fd(opt.timeout);
-        if (fd < 0) {
-          std::cerr << "referee: player " << i << " never connected\n";
-          return 1;
-        }
-        (void)referee.adopt_fd(fd);
-      }
-    }
-    return serve_protocols(referee, opt);
-  }
+            << ", awaiting " << opt.players << " player(s)\n";
 
   std::vector<std::unique_ptr<ds::wire::Link>> links;
   {
