@@ -1,237 +1,69 @@
-// S2: the scenario registry swept end to end (ISSUE 10 tentpole bench).
+// A2: the scenario registry swept end to end.
 //
-// One ParallelHarness case per registered scenario: its own default grid
-// (trials capped for bench wall time) run once on a one-thread pool and
-// once on the global pool, fingerprinted — so every registered family is
-// certified deterministic across thread counts on every bench run, with
-// zero per-scenario harness code.  Emits BENCH_scenario.json.
+// Every registered instance family (docs/SCENARIOS.md) is swept over its
+// own default grid on the global pool, with trials capped at 8 so the
+// whole registry stays bench-sized, and reported as one table: n, the
+// budgets swept, the threshold budget `thr` (smallest budget at the
+// family's target rate) and the success rate one ladder step below it.
 //
-// Also the satellite-1 gate: sweep trials lease arenas from an
-// ArenaReservoir, so from the second trial on the encode loop must
-// perform zero per-vertex heap allocations.  Measured here with a global
-// operator-new override: an arena'd steady-state trial must allocate
-// strictly fewer times than one vertex-buffer per vertex, and strictly
-// fewer than the arena-less twin.  Exits nonzero on any violation.
+// The certifications this sweep rests on are ctest cases: bit-identical
+// results at 1, 4 and the configured thread count for every registered
+// scenario (ScenarioGoldenSweep), and the arena allocation gates on the
+// trial path (ArenaAllocation, tests/engine/arena_alloc_test.cpp).
 //
-//   bench_scenario [OUT.json] [--scenario ID] [--list-scenarios]
-//
-// Unknown ids are rejected with a did-you-mean (exit 2).
-#include <atomic>
-#include <cstdint>
-#include <cstdlib>
+//   bench_scenario
+#include <algorithm>
+#include <cstddef>
 #include <iostream>
-#include <new>
 #include <string>
-#include <vector>
 
+#include "core/report.h"
 #include "core/sweep.h"
-#include "engine/arena.h"
-#include "graph/generators.h"
-#include "obs/obs.h"
-#include "parallel_harness.h"
-#include "protocols/trivial.h"
+#include "parallel/thread_pool.h"
 #include "scenario/registry.h"
-#include "scenario/typed.h"
-#include "util/rng.h"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter (same idiom as bench_engine): counts every
-// operator-new in the process, so measured regions snapshot before/after.
-
-namespace {
-std::atomic<std::size_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
-std::uint64_t fingerprint_sweep(const ds::core::SweepResult& result) {
-  std::uint64_t h = result.threshold_budget.value_or(0);
-  for (const ds::core::SweepPoint& p : result.points) {
-    h = ds::bench::fingerprint_fold(h, p.budget_bits);
-    h = ds::bench::fingerprint_fold(h, p.successes);
-    h = ds::bench::fingerprint_fold(h, p.trials);
-    h = ds::bench::fingerprint_fold(h, p.max_bits_seen);
+using ds::core::fmt;
+
+constexpr std::size_t kMaxTrials = 8;
+
+/// "rate at budget" for the ladder step just below the threshold; "—" when
+/// the threshold is the first budget or was never reached.
+std::string below_threshold(const ds::core::SweepResult& result) {
+  for (std::size_t i = 1; i < result.points.size(); ++i) {
+    if (result.points[i].budget_bits == result.threshold_budget) {
+      const ds::core::SweepPoint& below = result.points[i - 1];
+      return fmt(below.rate, 3) + " at " + fmt(below.budget_bits, true);
+    }
   }
-  return h;
-}
-
-void case_scenario_sweep(ds::bench::ParallelHarness& harness,
-                         const ds::scenario::Scenario& s) {
-  // The scenario's own grid, trials capped so the full registry stays
-  // bench-sized; the serial/parallel twin run is the determinism gate.
-  const ds::scenario::Grid& grid = s.default_grid();
-  const std::size_t trials = std::min<std::size_t>(grid.trials, 8);
-  harness.run_case(
-      "sweep_" + std::string(s.id()), trials,
-      [&](ds::parallel::ThreadPool& pool) {
-        return ds::core::sweep_budgets(s, grid.budgets, trials, grid.seed,
-                                       grid.target_rate, &pool);
-      },
-      fingerprint_sweep,
-      [](const ds::core::SweepResult& result) {
-        return result.points.empty()
-                   ? 0.0
-                   : static_cast<double>(result.points.back().max_bits_seen);
-      });
-}
-
-/// Allocations across `runs` steady-state trials (after a warm-up trial
-/// that sizes the arena), on a one-thread pool so the count is exact.
-std::size_t measure_trial_allocs(const ds::scenario::Scenario& s,
-                                 std::size_t budget, std::size_t runs,
-                                 ds::engine::SketchArena* arena) {
-  ds::parallel::ThreadPool pool(1);
-  (void)s.run_trial(budget, ds::util::derive_seed(97, 0), &pool, arena);
-  const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
-  for (std::size_t i = 1; i <= runs; ++i) {
-    (void)s.run_trial(budget, ds::util::derive_seed(97, i), &pool, arena);
-  }
-  return g_alloc_count.load(std::memory_order_relaxed) - before;
-}
-
-/// Satellite-1 gate, part 1: zero steady-state per-vertex allocations on
-/// the encode path.  An encode-only probe scenario (fixed instance,
-/// trivial adjacency-bitmap protocol, constant-alloc decode/judge)
-/// isolates the buffers the arena pools: arena'd trials must allocate a
-/// small constant, while the arena-less twin pays >= one buffer per
-/// vertex per trial.
-bool check_encode_path_allocs() {
-  constexpr ds::graph::Vertex kN = 256;
-  ds::util::Rng rng(4242);
-  const ds::graph::Graph fixed = ds::graph::gnp(kN, 0.05, rng);
-  const ds::scenario::InlineScenario<ds::model::MatchingOutput> probe(
-      "alloc-probe", "encode-only arena allocation probe", kN,
-      ds::scenario::Grid{{kN}, 1, 1, 0.0},
-      [&fixed](std::uint64_t) {
-        return ds::scenario::Instance{fixed, nullptr};
-      },
-      [](std::size_t) {
-        return std::make_unique<ds::protocols::TrivialMaximalMatching>();
-      },
-      [](const ds::scenario::Instance&, const ds::model::MatchingOutput&) {
-        return true;
-      });
-  constexpr std::size_t kRuns = 32;
-
-  const std::size_t unpooled = measure_trial_allocs(probe, kN, kRuns, nullptr);
-  ds::engine::SketchArena arena;
-  const std::size_t pooled = measure_trial_allocs(probe, kN, kRuns, &arena);
-
-  std::cout << "[arena_encode_path] n=" << kN << " runs=" << kRuns
-            << " allocs/trial pooled=" << (pooled / kRuns)
-            << " unpooled=" << (unpooled / kRuns) << "\n";
-  if (unpooled / kRuns < kN) {
-    std::cerr << "FAIL: the arena-less probe should allocate >= one encode"
-                 " buffer per vertex (" << (unpooled / kRuns) << " < " << kN
-              << ") — the probe no longer isolates the encode path\n";
-    return false;
-  }
-  if (pooled / kRuns >= kN) {
-    std::cerr << "FAIL: arena'd steady-state trial still allocates per"
-                 " vertex (" << (pooled / kRuns) << " >= " << kN << ")\n";
-    return false;
-  }
-  return true;
-}
-
-/// Satellite-1 gate, part 2: on a real registered scenario the arena
-/// strips at least the per-vertex encode buffer from every steady-state
-/// sweep trial (decode/judge allocations are protocol-specific and not
-/// pooled, so the gate is on the savings, not the absolute count).
-bool check_arena_steady_state() {
-  const ds::scenario::Scenario* s = ds::scenario::find("easy-cc");
-  if (s == nullptr) {
-    std::cerr << "FAIL: easy-cc scenario not registered\n";
-    return false;
-  }
-  const std::size_t budget = s->default_grid().budgets.back();
-  constexpr std::size_t kRuns = 32;
-
-  const std::size_t unpooled =
-      measure_trial_allocs(*s, budget, kRuns, nullptr);
-  ds::engine::SketchArena arena;
-  const std::size_t pooled = measure_trial_allocs(*s, budget, kRuns, &arena);
-
-  const std::size_t n = s->num_vertices();
-  std::cout << "[arena_steady_state] scenario=easy-cc n=" << n
-            << " budget=" << budget << " runs=" << kRuns
-            << " allocs/trial pooled=" << (pooled / kRuns)
-            << " unpooled=" << (unpooled / kRuns) << "\n";
-  if (pooled + kRuns * n > unpooled) {
-    std::cerr << "FAIL: arena'd sweep trials save fewer than one encode"
-                 " buffer per vertex (" << pooled << " + " << kRuns * n
-              << " > " << unpooled << ")\n";
-    return false;
-  }
-  return true;
-}
-
-void print_scenarios() {
-  std::cout << "registered scenarios:\n";
-  for (const ds::scenario::Scenario* s : ds::scenario::all()) {
-    std::cout << "  " << s->id() << "  " << s->description() << "\n";
-  }
+  return "—";
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string out_path = "BENCH_scenario.json";
-  std::string only;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--list-scenarios") {
-      print_scenarios();
-      return 0;
-    }
-    if (arg == "--scenario") {
-      if (i + 1 >= argc) {
-        std::cerr << "bench_scenario: --scenario needs an id\n";
-        return 2;
-      }
-      only = argv[++i];
-    } else {
-      out_path = arg;
-    }
-  }
-  if (!only.empty() && ds::scenario::find(only) == nullptr) {
-    std::cerr << "bench_scenario: unknown scenario '" << only << "'";
-    if (const auto near = ds::scenario::suggest(only)) {
-      std::cerr << " (did you mean '" << *near << "'?)";
-    }
-    std::cerr << "\n";
-    print_scenarios();
-    return 2;
-  }
-
-  ds::obs::set_metrics_enabled(true);
-  std::cout << "=== S2: scenario registry sweeps ===\n"
+int main() {
+  std::cout << "=== A2: scenario registry sweeps ===\n"
             << "pool threads: "
-            << ds::parallel::global_pool().num_threads() << "\n\n";
+            << ds::parallel::global_pool().num_threads()
+            << ", trials per budget: min(grid trials, " << kMaxTrials
+            << ")\n\n";
 
-  ds::bench::ParallelHarness harness;
+  ds::core::Table table(
+      {"scenario", "n", "budgets swept", "thr", "success at thr-1 step"});
   for (const ds::scenario::Scenario* s : ds::scenario::all()) {
-    if (!only.empty() && s->id() != only) continue;
-    case_scenario_sweep(harness, *s);
+    const ds::scenario::Grid& grid = s->default_grid();
+    const ds::core::SweepResult result = ds::core::sweep_budgets(
+        *s, grid.budgets, std::min(grid.trials, kMaxTrials), grid.seed,
+        grid.target_rate);
+    table.add_row({std::string(s->id()), fmt(s->num_vertices(), true),
+                   fmt(grid.budgets.front(), true) + ".." +
+                       fmt(grid.budgets.back(), true),
+                   result.threshold_budget
+                       ? fmt(*result.threshold_budget, true)
+                       : std::string("none"),
+                   below_threshold(result)});
   }
-
-  const bool arena_ok =
-      check_encode_path_allocs() && check_arena_steady_state();
-  harness.write_json(out_path);
-  if (!harness.all_identical()) {
-    std::cerr << "FAIL: a parallel sweep diverged from its serial twin\n";
-    return 1;
-  }
-  return arena_ok ? 0 : 1;
+  table.print(std::cout);
+  return 0;
 }

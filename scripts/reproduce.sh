@@ -19,15 +19,20 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure 2>&1 | tee test_output.txt
 
+# Benches run from inside the build tree, so any file a bench writes by
+# default (bench_engine's BENCH_engine.json) lands there instead of over
+# the committed copy at the repo root.
+ROOT=$PWD
 : > bench_output.txt
-for b in "$BUILD_DIR"/bench/bench_*; do
+cd "$BUILD_DIR"
+for b in bench/bench_*; do
   [ -f "$b" ] && [ -x "$b" ] || continue
   {
     echo "====================================================="
     echo "== $(basename "$b")"
     echo "====================================================="
-    "$b" 2>&1
-  } | tee -a bench_output.txt
+    "./$b" 2>&1
+  } | tee -a "$ROOT/bench_output.txt"
 done
 
 echo "Done: test_output.txt and bench_output.txt written."

@@ -302,10 +302,9 @@ void write_json_string(std::ostream& out, const std::string& s) {
 
 }  // namespace
 
-void write_json(std::ostream& out, const Snapshot& snap,
-                const std::string& indent) {
-  const std::string i1 = indent + "  ";
-  const std::string i2 = i1 + "  ";
+void write_json(std::ostream& out, const Snapshot& snap) {
+  const std::string i1 = "  ";
+  const std::string i2 = "    ";
   out << "{\n"
       << i1 << "\"metrics_enabled\": " << (snap.metrics_on ? "true" : "false")
       << ",\n"
@@ -355,8 +354,7 @@ void write_json(std::ostream& out, const Snapshot& snap,
     out << ", \"start_us\": " << e.start_us << ", \"duration_us\": "
         << e.duration_us << ", \"thread\": " << e.thread << "}";
   }
-  out << (snap.recent_spans.empty() ? "" : "\n" + i1) << "]\n"
-      << indent << "}";
+  out << (snap.recent_spans.empty() ? "" : "\n" + i1) << "]\n}";
 }
 
 std::string snapshot_json() {

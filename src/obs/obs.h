@@ -205,11 +205,8 @@ struct Snapshot {
 /// audit test arranges by snapshotting after the session completes).
 [[nodiscard]] Snapshot snapshot();
 
-/// The JSON schema documented in docs/OBSERVABILITY.md.  `indent` is
-/// prepended to every line so the block can be embedded in a larger
-/// document (the BENCH_*.json metrics block).
-void write_json(std::ostream& out, const Snapshot& snap,
-                const std::string& indent = "");
+/// The JSON schema documented in docs/OBSERVABILITY.md.
+void write_json(std::ostream& out, const Snapshot& snap);
 [[nodiscard]] std::string snapshot_json();
 
 /// One compact line of every nonzero counter ("a=1 b=2 ..."), for the

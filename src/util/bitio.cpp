@@ -39,15 +39,9 @@ void BitWriter::put_gamma(std::uint64_t value) {
   if (len > 1) put_bits(value & detail::width_mask(len - 1), len - 1);
 }
 
-void BitWriter::put_delta(std::uint64_t value) {
-  assert(value >= 1);
-  const unsigned len = static_cast<unsigned>(std::bit_width(value));
-  put_gamma(len);
-  if (len > 1) put_bits(value & detail::width_mask(len - 1), len - 1);
-}
-
 void BitWriter::put_u32_span(std::span<const std::uint32_t> values,
                              unsigned width) {
+  assert(width > 0 || values.size() <= kMaxZeroWidthSpan);
   put_gamma(values.size() + 1);  // +1: gamma cannot encode zero
   if (width == 0 || values.empty()) return;
   assert(width <= 64);
@@ -101,19 +95,13 @@ std::uint64_t BitReader::get_gamma() {
   return value;
 }
 
-std::uint64_t BitReader::get_delta() {
-  const unsigned len = static_cast<unsigned>(get_gamma());
-  std::uint64_t value = std::uint64_t{1} << (len - 1);
-  if (len > 1) value |= get_bits(len - 1);
-  return value;
-}
-
 std::vector<std::uint32_t> BitReader::get_u32_span(unsigned width) {
   std::uint64_t count = get_gamma() - 1;
   // Robustness clamp: a well-formed message cannot contain more elements
   // than it has bits left; garbage counts must not drive allocation.
+  // Width-0 elements take no bits, so their count has a fixed cap.
   const std::uint64_t max_possible =
-      width == 0 ? bits_remaining() : bits_remaining() / width;
+      width == 0 ? kMaxZeroWidthSpan : bits_remaining() / width;
   if (count > max_possible) count = max_possible;
   std::vector<std::uint32_t> values;
   values.reserve(count);

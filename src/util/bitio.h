@@ -8,7 +8,7 @@
 //
 // Supported encodings:
 //   * raw bits / fixed-width unsigned integers (LSB first),
-//   * Elias gamma and delta codes for unbounded positive integers,
+//   * Elias gamma codes for unbounded positive integers,
 //   * length-prefixed spans of fixed-width values,
 //   * zero runs and packed word spans (whole-64-bit-word fast paths).
 //
@@ -43,6 +43,11 @@ namespace detail {
 }
 
 }  // namespace detail
+
+/// Most elements a width-0 u32 span may hold.  Width-0 elements take no
+/// bits, so unlike wider spans their count cannot be bounded by the bits
+/// left in the message.
+inline constexpr std::uint64_t kMaxZeroWidthSpan = std::uint64_t{1} << 16;
 
 /// Append-only bit buffer.
 ///
@@ -119,11 +124,8 @@ class BitWriter {
   /// binary remainder; 2*floor(log2 v) + 1 bits.
   void put_gamma(std::uint64_t value);
 
-  /// Elias delta code of `value` (requires value >= 1): gamma-coded length
-  /// then binary remainder; log v + O(log log v) bits.
-  void put_delta(std::uint64_t value);
-
-  /// Gamma-coded length followed by `width`-bit elements.
+  /// Gamma-coded length followed by `width`-bit elements (a width-0
+  /// span holds at most kMaxZeroWidthSpan elements).
   void put_u32_span(std::span<const std::uint32_t> values, unsigned width);
 
   [[nodiscard]] std::size_t bit_count() const noexcept { return bit_count_; }
@@ -212,7 +214,9 @@ class BitReader {
   void get_words(std::span<std::uint64_t> out, std::size_t nbits);
 
   [[nodiscard]] std::uint64_t get_gamma();
-  [[nodiscard]] std::uint64_t get_delta();
+  /// Inverse of BitWriter::put_u32_span.  A count larger than the bits
+  /// left could hold (or, at width 0, above kMaxZeroWidthSpan) is clamped,
+  /// so a forged count cannot drive allocation.
   [[nodiscard]] std::vector<std::uint32_t> get_u32_span(unsigned width);
 
   [[nodiscard]] std::size_t position() const noexcept { return pos_; }

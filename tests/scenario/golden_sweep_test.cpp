@@ -3,9 +3,11 @@
 // must reproduce exactly through the Scenario seam, at 1, 4, and the
 // configured thread count.  The fingerprint folds every SweepPoint field
 // including the bit-cast doubles, so any drift in sampling, coin keying,
-// protocol construction, judging, or fold order fails loudly.
+// protocol construction, judging, or fold order fails loudly.  The last
+// case extends the thread-count identity to every registered scenario.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 
@@ -74,6 +76,29 @@ TEST(ScenarioGoldenSweep, RegisteredDmmMatchingReproducesPreRefactorBits) {
         << "at " << threads << " threads";
     ASSERT_TRUE(result.threshold_budget.has_value());
     EXPECT_EQ(*result.threshold_budget, 144u);
+  }
+}
+
+TEST(ScenarioGoldenSweep, EveryRegisteredScenarioIsIdenticalAcrossThreadCounts) {
+  // Every registered family over its own default grid (trials capped at
+  // 8, as bench_scenario sweeps it): the 4-lane and configured-width
+  // pools must reproduce the 1-lane sweep in every SweepPoint field and
+  // the threshold.
+  for (const Scenario* s : all()) {
+    const Grid& grid = s->default_grid();
+    const auto sweep = [&](std::size_t threads) {
+      parallel::ThreadPool pool(threads);
+      return core::sweep_budgets(*s, grid.budgets,
+                                 std::min<std::size_t>(grid.trials, 8),
+                                 grid.seed, grid.target_rate, &pool);
+    };
+    const core::SweepResult serial = sweep(1);
+    ASSERT_EQ(serial.points.size(), grid.budgets.size()) << s->id();
+    for (const std::size_t threads :
+         {std::size_t{4}, parallel::configured_threads()}) {
+      EXPECT_EQ(fingerprint(sweep(threads)), fingerprint(serial))
+          << s->id() << " at " << threads << " threads";
+    }
   }
 }
 

@@ -90,15 +90,6 @@ TEST(BitIo, GammaLengths) {
   }
 }
 
-TEST(BitIo, DeltaRoundTrip) {
-  BitWriter w;
-  const std::uint64_t values[] = {1, 2, 3, 15, 16, 17, 12345, 1ULL << 50};
-  for (std::uint64_t v : values) w.put_delta(v);
-  BitString bs(w);
-  BitReader r(bs);
-  for (std::uint64_t v : values) EXPECT_EQ(r.get_delta(), v);
-}
-
 TEST(BitIo, SpanRoundTrip) {
   BitWriter w;
   const std::vector<std::uint32_t> values{3, 1, 4, 1, 5, 9, 2, 6};
@@ -116,6 +107,24 @@ TEST(BitIo, EmptySpanRoundTrip) {
   EXPECT_TRUE(r.get_u32_span(10).empty());
 }
 
+TEST(BitIo, ZeroWidthSpanAtEndOfMessageRoundTrips) {
+  // Width-0 elements take no bits, so a bits-left clamp would decode this
+  // span, the last field of its message, as empty.
+  BitWriter w;
+  const std::vector<std::uint32_t> zeros(3, 0);
+  w.put_u32_span(zeros, 0);
+  BitString bs(w);
+  BitReader r(bs);
+  EXPECT_EQ(r.get_u32_span(0), zeros);
+
+  // A forged width-0 count is still clamped.
+  BitWriter forged;
+  forged.put_gamma(std::uint64_t{1} << 40);
+  BitString forged_bs(forged);
+  BitReader forged_r(forged_bs);
+  EXPECT_EQ(forged_r.get_u32_span(0).size(), kMaxZeroWidthSpan);
+}
+
 TEST(BitIo, MixedStreamFuzz) {
   Rng rng(2024);
   for (int rep = 0; rep < 50; ++rep) {
@@ -128,38 +137,27 @@ TEST(BitIo, MixedStreamFuzz) {
     std::vector<Item> items;
     for (int i = 0; i < 100; ++i) {
       Item item;
-      item.kind = static_cast<int>(rng.next_below(3));
-      switch (item.kind) {
-        case 0:
-          item.width = 1 + static_cast<unsigned>(rng.next_below(64));
-          item.value = rng.next() &
-                       (item.width == 64
-                            ? ~0ULL
-                            : ((std::uint64_t{1} << item.width) - 1));
-          w.put_bits(item.value, item.width);
-          break;
-        case 1:
-          item.value = 1 + rng.next_below(1ULL << 32);
-          w.put_gamma(item.value);
-          break;
-        default:
-          item.value = 1 + rng.next_below(1ULL << 32);
-          w.put_delta(item.value);
+      item.kind = static_cast<int>(rng.next_below(2));
+      if (item.kind == 0) {
+        item.width = 1 + static_cast<unsigned>(rng.next_below(64));
+        item.value = rng.next() &
+                     (item.width == 64
+                          ? ~0ULL
+                          : ((std::uint64_t{1} << item.width) - 1));
+        w.put_bits(item.value, item.width);
+      } else {
+        item.value = 1 + rng.next_below(1ULL << 32);
+        w.put_gamma(item.value);
       }
       items.push_back(item);
     }
     BitString bs(w);
   BitReader r(bs);
     for (const Item& item : items) {
-      switch (item.kind) {
-        case 0:
-          EXPECT_EQ(r.get_bits(item.width), item.value);
-          break;
-        case 1:
-          EXPECT_EQ(r.get_gamma(), item.value);
-          break;
-        default:
-          EXPECT_EQ(r.get_delta(), item.value);
+      if (item.kind == 0) {
+        EXPECT_EQ(r.get_bits(item.width), item.value);
+      } else {
+        EXPECT_EQ(r.get_gamma(), item.value);
       }
     }
     EXPECT_EQ(r.bits_remaining(), 0u);

@@ -24,14 +24,12 @@
 // and key the public coins the same way, so the referee's outcome and
 // every player's output hash match the simulated run bit for bit (the
 // scenario-smoke contract).  `--list-scenarios` prints the registry.
-#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -46,6 +44,8 @@
 #include "service/player_client.h"
 #include "service/referee_service.h"
 #include "wire/tcp.h"
+
+#include "parse_number.h"
 
 namespace {
 
@@ -157,29 +157,10 @@ void print_scenarios(std::ostream& out) {
   }
 }
 
-/// The one way a numeric flag is read: the whole of `value` must parse
-/// as a T in [lo, hi].  Non-numeric input, trailing garbage and
-/// out-of-range values (e.g. --port 70000, which a bare cast would wrap
-/// to 4464) are reported and sent through usage(), never truncated.
-template <typename T>
-T parse_number(const char* argv0, const std::string& key,
-               const std::string& value,
-               T lo = std::numeric_limits<T>::min(),
-               T hi = std::numeric_limits<T>::max()) {
-  T parsed{};
-  const char* const end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
-  // The negated comparison also rejects a parsed NaN.
-  if (ec != std::errc() || ptr != end || !(parsed >= lo && parsed <= hi)) {
-    std::cerr << "distsketch_service: " << key << " '" << value
-              << "' is not a number in [" << lo << ", " << hi << "]\n";
-    usage(argv0);
-  }
-  return parsed;
-}
-
 Options parse(int argc, char** argv) {
   if (argc < 2) usage(argv[0]);
+  const auto bad_number = [&] { usage(argv[0]); };
+  using ds::tools::parse_number;
   Options opt;
   opt.command = argv[1];
   if (opt.command == "--list-scenarios") {
@@ -198,36 +179,36 @@ Options parse(int argc, char** argv) {
     if (key == "--host") {
       opt.host = value;
     } else if (key == "--port") {
-      opt.port = parse_number<std::uint16_t>(argv[0], key, value);
+      opt.port = parse_number<std::uint16_t>(key, value, bad_number);
     } else if (key == "--protocol") {
       opt.protocol = value;
       opt.protocol_set = true;
     } else if (key == "--scenario") {
       opt.scenario = value;
     } else if (key == "--budget") {
-      opt.budget = parse_number<std::size_t>(argv[0], key, value);
+      opt.budget = parse_number<std::size_t>(key, value, bad_number);
     } else if (key == "--trial-seed") {
-      opt.trial_seed = parse_number<std::uint64_t>(argv[0], key, value);
+      opt.trial_seed = parse_number<std::uint64_t>(key, value, bad_number);
     } else if (key == "--n") {
-      opt.n = parse_number<ds::graph::Vertex>(argv[0], key, value);
+      opt.n = parse_number<ds::graph::Vertex>(key, value, bad_number);
     } else if (key == "--p") {
-      opt.p = parse_number<double>(argv[0], key, value, 0.0, 1.0);
+      opt.p = parse_number<double>(key, value, bad_number, 0.0, 1.0);
     } else if (key == "--graph-seed") {
-      opt.graph_seed = parse_number<std::uint64_t>(argv[0], key, value);
+      opt.graph_seed = parse_number<std::uint64_t>(key, value, bad_number);
     } else if (key == "--coin-seed") {
-      opt.coin_seed = parse_number<std::uint64_t>(argv[0], key, value);
+      opt.coin_seed = parse_number<std::uint64_t>(key, value, bad_number);
     } else if (key == "--players") {
-      opt.players = parse_number<std::size_t>(argv[0], key, value, 1);
+      opt.players = parse_number<std::size_t>(key, value, bad_number, 1);
     } else if (key == "--index") {
-      opt.index = parse_number<std::size_t>(argv[0], key, value);
+      opt.index = parse_number<std::size_t>(key, value, bad_number);
     } else if (key == "--timeout-ms") {
       opt.timeout = std::chrono::milliseconds(
-          parse_number<std::uint32_t>(argv[0], key, value));
+          parse_number<std::uint32_t>(key, value, bad_number));
     } else if (key == "--metrics-out") {
       opt.metrics_out = value;
     } else if (key == "--metrics-interval-ms") {
       opt.metrics_interval = std::chrono::milliseconds(
-          parse_number<std::uint32_t>(argv[0], key, value));
+          parse_number<std::uint32_t>(key, value, bad_number));
     } else {
       usage(argv[0]);
     }

@@ -17,10 +17,15 @@
 //       Drain the file into a sketch, print the ingest report,
 //       component count and state hash.  --threads 0 uses the
 //       configured pool width.
+//
+// Numeric flags are range-checked (parse_number.h): --n in [2, 2^32-1],
+// --delete-fraction in [0, 1], --exponent > 1, --batch >= 1,
+// --threads <= 512.  A bad value prints usage and exits 2.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,6 +33,8 @@
 #include "parallel/thread_pool.h"
 #include "streamio/generator_stream.h"
 #include "streamio/ingestor.h"
+
+#include "parse_number.h"
 
 namespace {
 
@@ -47,7 +54,12 @@ int usage() {
   return 2;
 }
 
+/// The widest pool --threads may ask for (DISTSKETCH_THREADS's cap).
+constexpr std::size_t kMaxThreads = 512;
+
 /// Pull `--flag value` pairs out of argv; positional args stay in order.
+/// Numeric flags read through tools::parse_number; a malformed or
+/// out-of-range value prints usage and exits 2.
 struct Args {
   std::vector<std::string> positional;
 
@@ -76,15 +88,14 @@ struct Args {
     }
     return fallback;
   }
-  [[nodiscard]] std::uint64_t get_u64(const std::string& name,
-                                      std::uint64_t fallback) const {
+  template <typename T>
+  [[nodiscard]] T number(const std::string& name, T fallback,
+                         T lo = std::numeric_limits<T>::lowest(),
+                         T hi = std::numeric_limits<T>::max()) const {
     const std::string v = get(name, "");
-    return v.empty() ? fallback : std::strtoull(v.c_str(), nullptr, 10);
-  }
-  [[nodiscard]] double get_double(const std::string& name,
-                                  double fallback) const {
-    const std::string v = get(name, "");
-    return v.empty() ? fallback : std::strtod(v.c_str(), nullptr);
+    if (v.empty()) return fallback;
+    return tools::parse_number<T>(name, v, [] { std::exit(usage()); }, lo,
+                                  hi);
   }
 
  private:
@@ -105,11 +116,18 @@ int cmd_generate(const Args& args) {
     std::cerr << "unknown family: " << family << "\n";
     return 2;
   }
-  config.n = static_cast<graph::Vertex>(args.get_u64("--n", 1u << 16));
-  config.edges = args.get_u64("--edges", 4 * config.n);
-  config.delete_fraction = args.get_double("--delete-fraction", 0.1);
-  config.seed = args.get_u64("--seed", 1);
-  config.chung_lu_exponent = args.get_double("--exponent", 2.5);
+  config.n = args.number<graph::Vertex>("--n", 1u << 16, 2);
+  config.edges =
+      args.number<std::uint64_t>("--edges", 4 * std::uint64_t{config.n});
+  config.delete_fraction =
+      args.number<double>("--delete-fraction", 0.1, 0.0, 1.0);
+  config.seed = args.number<std::uint64_t>("--seed", 1);
+  config.chung_lu_exponent = args.number<double>("--exponent", 2.5);
+  if (!(config.chung_lu_exponent > 1.0)) {
+    std::cerr << "--exponent '" << config.chung_lu_exponent
+              << "' must be above 1\n";
+    return usage();
+  }
 
   streamio::GeneratorStream source(config);
   streamio::BinaryStreamWriter writer(out, config.n, config.seed);
@@ -167,12 +185,12 @@ int cmd_ingest(const Args& args) {
     return 1;
   }
 
-  const std::size_t threads =
-      static_cast<std::size_t>(args.get_u64("--threads", 0));
+  const auto threads =
+      args.number<std::size_t>("--threads", 0, 0, kMaxThreads);
   streamio::IngestOptions options;
   options.batch_updates =
-      static_cast<std::size_t>(args.get_u64("--batch", std::size_t{1} << 16));
-  options.query_interval = args.get_u64("--query-interval", 0);
+      args.number<std::size_t>("--batch", std::size_t{1} << 16, 1);
+  options.query_interval = args.number<std::uint64_t>("--query-interval", 0);
   options.serial = args.get("--serial", "").empty() ? false : true;
   std::unique_ptr<parallel::ThreadPool> pool;
   if (!options.serial && threads > 0) {
@@ -180,9 +198,10 @@ int cmd_ingest(const Args& args) {
     options.pool = pool.get();
   }
 
-  const auto rounds = static_cast<unsigned>(args.get_u64("--rounds", 2));
+  const auto rounds = args.number<unsigned>("--rounds", 2);
   stream::DynamicConnectivity state(
-      reader.header().n, args.get_u64("--sketch-seed", 2020), rounds);
+      reader.header().n, args.number<std::uint64_t>("--sketch-seed", 2020),
+      rounds);
   const streamio::IngestReport report =
       streamio::ingest(reader, state, options);
   if (report.status != streamio::ReadStatus::kEnd) {
